@@ -25,11 +25,10 @@
 //! Groups are pre-sorted by descending width, then assembled with a bounded
 //! lookahead window.
 
-use phoenix_circuit::interaction::{
-    distance_matrix, head_edges, similarity, support_2q, tail_edges,
-};
+use phoenix_circuit::interaction::{head_edges, support_2q, tail_edges};
 use phoenix_circuit::{Circuit, Gate};
 use phoenix_pauli::{Clifford2Q, QubitMask};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Ordering parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,36 +83,125 @@ impl Frontier {
 
     /// 2Q layers added if `c` were appended (ASAP scheduling), without
     /// mutating the frontier.
-    ///
-    /// Tracks trial layers only for the qubits `c` actually touches (a
-    /// stack mask + scratch array) instead of cloning the full per-qubit
-    /// layer vector for every ordering candidate.
     pub fn depth_added(&self, c: &Circuit) -> usize {
-        let mut touched = QubitMask::zeros(self.layers.len());
-        let mut trial = vec![0usize; self.layers.len()];
+        let (support, pairs) = two_qubit_pairs(c);
+        self.pairs_depth_added(&support, &pairs, &mut Vec::new())
+    }
+
+    /// [`Frontier::depth_added`] for 2Q gates given as positions in
+    /// `support`. Trial layers live in `scratch`, sized to the support,
+    /// not to the register.
+    fn pairs_depth_added(
+        &self,
+        support: &[usize],
+        pairs: &[(u32, u32)],
+        scratch: &mut Vec<usize>,
+    ) -> usize {
+        scratch.clear();
+        scratch.extend(support.iter().map(|&q| self.layers[q]));
         let mut depth = self.depth;
-        for g in c.gates() {
-            if let (a, Some(b)) = g.qubits() {
-                let la = if touched.bit(a) {
-                    trial[a]
-                } else {
-                    self.layers[a]
-                };
-                let lb = if touched.bit(b) {
-                    trial[b]
-                } else {
-                    self.layers[b]
-                };
-                let layer = la.max(lb) + 1;
-                trial[a] = layer;
-                trial[b] = layer;
-                touched.set_bit(a);
-                touched.set_bit(b);
-                depth = depth.max(layer);
-            }
+        for &(a, b) in pairs {
+            let (a, b) = (a as usize, b as usize);
+            let layer = scratch[a].max(scratch[b]) + 1;
+            scratch[a] = layer;
+            scratch[b] = layer;
+            depth = depth.max(layer);
         }
         depth - self.depth
     }
+}
+
+/// The 2Q support of `c` (ascending) and its 2Q gates in program order,
+/// as positions in that support.
+fn two_qubit_pairs(c: &Circuit) -> (Vec<usize>, Vec<(u32, u32)>) {
+    let support = support_2q(c).to_indices();
+    let pos = |q: usize| {
+        let i = support.binary_search(&q).expect("qubit is in the support");
+        u32::try_from(i).expect("2Q support fits in u32")
+    };
+    let pairs = c
+        .gates()
+        .iter()
+        .filter_map(|g| match g.qubits() {
+            (a, Some(b)) => Some((pos(a), pos(b))),
+            _ => None,
+        })
+        .collect();
+    (support, pairs)
+}
+
+/// Marks a pair disconnected in a [`Seam`] distance table.
+const UNREACHED: u32 = u32::MAX;
+
+/// Everything [`assembly_cost`] reads from one group, computed once per
+/// group instead of once per (prev, candidate) pair. Storage is
+/// O(|support|²), never O(n²), so wide registers stay cheap.
+struct Seam {
+    /// Qubits touched by 2Q gates, ascending.
+    support: Vec<usize>,
+    /// The 2Q gates in program order, as positions in `support`.
+    pairs: Vec<(u32, u32)>,
+    /// Frontier Clifford2Qs reachable from the head / from the tail.
+    head_cliffords: Vec<Clifford2Q>,
+    tail_cliffords: Vec<Clifford2Q>,
+    /// The first 2Q layer from each end; `None` marks a non-Clifford gate.
+    head_layer: Vec<Option<Clifford2Q>>,
+    tail_layer: Vec<Option<Clifford2Q>>,
+    /// Row-major `|support|²` BFS distances over the head / tail
+    /// interaction graphs ([`UNREACHED`] for disconnected pairs); empty
+    /// unless built for routing-aware ordering.
+    head_dist: Vec<u32>,
+    tail_dist: Vec<u32>,
+}
+
+impl Seam {
+    fn new(c: &Circuit, routing_aware: bool) -> Self {
+        let (support, pairs) = two_qubit_pairs(c);
+        let (head_dist, tail_dist) = if routing_aware {
+            (
+                support_distances(&support, &head_edges(c)),
+                support_distances(&support, &tail_edges(c)),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        Seam {
+            head_cliffords: frontier_cliffords(c.gates().iter()),
+            tail_cliffords: frontier_cliffords(c.gates().iter().rev()),
+            head_layer: first_layer(c.gates().iter()),
+            tail_layer: first_layer(c.gates().iter().rev()),
+            support,
+            pairs,
+            head_dist,
+            tail_dist,
+        }
+    }
+}
+
+/// BFS distances between the `support` qubits over `edges`, row-major.
+fn support_distances(support: &[usize], edges: &BTreeSet<(usize, usize)>) -> Vec<u32> {
+    let k = support.len();
+    let pos = |q: usize| support.binary_search(&q).expect("edge inside the support");
+    let mut adj = vec![Vec::new(); k];
+    for &(a, b) in edges {
+        adj[pos(a)].push(pos(b));
+        adj[pos(b)].push(pos(a));
+    }
+    let mut dist = vec![UNREACHED; k * k];
+    let mut queue = VecDeque::new();
+    for (s, row) in dist.chunks_exact_mut(k.max(1)).enumerate() {
+        row[s] = 0;
+        queue.push_back(s);
+        while let Some(u) = queue.pop_front() {
+            for &v in &adj[u] {
+                if row[v] == UNREACHED {
+                    row[v] = row[u] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+    }
+    dist
 }
 
 /// The assembling cost of placing `next` after the assembled prefix whose
@@ -126,7 +214,24 @@ pub fn assembly_cost(
     next: &Circuit,
     opts: &OrderOptions,
 ) -> f64 {
-    let mut cost = frontier.depth_added(next) as f64;
+    seam_cost(
+        frontier,
+        &Seam::new(prev, opts.routing_aware),
+        &Seam::new(next, opts.routing_aware),
+        opts,
+        &mut Vec::new(),
+    )
+}
+
+/// [`assembly_cost`] over precomputed seams.
+fn seam_cost(
+    frontier: &Frontier,
+    prev: &Seam,
+    next: &Seam,
+    opts: &OrderOptions,
+    scratch: &mut Vec<usize>,
+) -> f64 {
+    let mut cost = frontier.pairs_depth_added(&next.support, &next.pairs, scratch) as f64;
 
     // Clifford2Q cancellation credit.
     let (m, prev_layer_cleared, next_layer_cleared) = clifford_cancellations(prev, next);
@@ -145,27 +250,68 @@ pub fn assembly_cost(
     cost
 }
 
-/// Eq. (7) similarity normalized to a mean row cosine in `[0, 1]`.
-fn mean_similarity(prev: &Circuit, next: &Circuit) -> f64 {
-    let mut union = support_2q(prev);
-    union.or_with(&support_2q(next));
-    let nodes: Vec<usize> = union.to_indices();
-    if nodes.is_empty() {
+/// Eq. (7) similarity normalized to a mean row cosine in `[0, 1]`: the
+/// tail distance matrix of `prev` against the head distance matrix of
+/// `next`, over the union of their 2Q supports, where a pair unreachable
+/// in a graph (or outside its support) sits at distance `k` = union size.
+///
+/// Equals `interaction::routing_similarity(prev, next) / k` bit for bit:
+/// each row's dot product and squared norms are sums of integers, exact in
+/// any order, so they are accumulated as integers and converted once.
+fn mean_similarity(prev: &Seam, next: &Seam) -> f64 {
+    // Union nodes with their positions in each support.
+    let mut union: Vec<(Option<usize>, Option<usize>)> = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < prev.support.len() || j < next.support.len() {
+        let p = prev.support.get(i).copied().unwrap_or(usize::MAX);
+        let q = next.support.get(j).copied().unwrap_or(usize::MAX);
+        union.push(((p <= q).then_some(i), (q <= p).then_some(j)));
+        i += usize::from(p <= q);
+        j += usize::from(q <= p);
+    }
+    let k = union.len();
+    if k == 0 {
         return 1.0;
     }
-    let d1 = distance_matrix(&nodes, &tail_edges(prev));
-    let d2 = distance_matrix(&nodes, &head_edges(next));
-    similarity(&d1, &d2) / nodes.len() as f64
+    let far = k as u64;
+    let entry = |table: &[u32], width: usize, a: Option<usize>, b: Option<usize>| -> u64 {
+        match (a, b) {
+            (Some(a), Some(b)) if table[a * width + b] != UNREACHED => {
+                u64::from(table[a * width + b])
+            }
+            _ => far,
+        }
+    };
+    let (kp, kn) = (prev.support.len(), next.support.len());
+    let mut s = 0.0;
+    for (r, &(pr, nr)) in union.iter().enumerate() {
+        let (mut dot, mut sq1, mut sq2) = (0u64, 0u64, 0u64);
+        for (c, &(pc, nc)) in union.iter().enumerate() {
+            if r == c {
+                continue; // the diagonal is 0 in both matrices
+            }
+            let d1 = entry(&prev.tail_dist, kp, pr, pc);
+            let d2 = entry(&next.head_dist, kn, nr, nc);
+            dot += d1 * d2;
+            sq1 += d1 * d1;
+            sq2 += d2 * d2;
+        }
+        let n1 = (sq1 as f64).sqrt();
+        let n2 = (sq2 as f64).sqrt();
+        if n1 > 0.0 && n2 > 0.0 {
+            s += dot as f64 / (n1 * n2);
+        }
+    }
+    s / k as f64
 }
 
 /// Counts Hermitian Clifford2Q pairs that cancel across the seam and
 /// whether the cancellation clears the facing 2Q layer on either side.
-fn clifford_cancellations(prev: &Circuit, next: &Circuit) -> (usize, bool, bool) {
-    let mut trailing = frontier_cliffords(prev.gates().iter().rev());
-    let leading = frontier_cliffords(next.gates().iter());
+fn clifford_cancellations(prev: &Seam, next: &Seam) -> (usize, bool, bool) {
+    let mut trailing = prev.tail_cliffords.clone();
     let mut matched = 0usize;
     let mut matched_gates: Vec<Clifford2Q> = Vec::new();
-    for l in &leading {
+    for l in &next.head_cliffords {
         if let Some(pos) = trailing.iter().position(|t| cancels(t, l)) {
             matched_gates.push(trailing.remove(pos));
             matched_gates.push(*l);
@@ -175,8 +321,8 @@ fn clifford_cancellations(prev: &Circuit, next: &Circuit) -> (usize, bool, bool)
     if matched == 0 {
         return (0, false, false);
     }
-    let prev_cleared = layer_cleared(prev.gates().iter().rev(), &matched_gates);
-    let next_cleared = layer_cleared(next.gates().iter(), &matched_gates);
+    let prev_cleared = layer_cleared(&prev.tail_layer, &matched_gates);
+    let next_cleared = layer_cleared(&next.head_layer, &matched_gates);
     (matched, prev_cleared, next_cleared)
 }
 
@@ -201,12 +347,11 @@ fn frontier_cliffords<'a>(gates: impl Iterator<Item = &'a Gate>) -> Vec<Clifford
     out
 }
 
-/// Whether the facing 2Q layer consists entirely of cancelled gates.
-fn layer_cleared<'a>(gates: impl Iterator<Item = &'a Gate>, cancelled: &[Clifford2Q]) -> bool {
-    // First 2Q layer from this end: 2Q gates seen before any qubit overlap.
+/// The first 2Q layer from one end — 2Q gates seen before any qubit
+/// overlap — as each gate's Clifford (`None` for other 2Q gates).
+fn first_layer<'a>(gates: impl Iterator<Item = &'a Gate>) -> Vec<Option<Clifford2Q>> {
     let mut blocked = QubitMask::default();
-    let mut all_cancelled = true;
-    let mut saw_2q = false;
+    let mut layer = Vec::new();
     for g in gates {
         let (a, b) = g.qubits();
         let Some(b) = b else { continue };
@@ -215,12 +360,20 @@ fn layer_cleared<'a>(gates: impl Iterator<Item = &'a Gate>, cancelled: &[Cliffor
         }
         blocked.set_bit(a);
         blocked.set_bit(b);
-        saw_2q = true;
-        let in_layer_cancelled =
-            matches!(g, Gate::Clifford2(c) if cancelled.iter().any(|m| m == c));
-        all_cancelled &= in_layer_cancelled;
+        layer.push(match g {
+            Gate::Clifford2(c) => Some(*c),
+            _ => None,
+        });
     }
-    saw_2q && all_cancelled
+    layer
+}
+
+/// Whether a facing 2Q layer consists entirely of cancelled gates.
+fn layer_cleared(layer: &[Option<Clifford2Q>], cancelled: &[Clifford2Q]) -> bool {
+    !layer.is_empty()
+        && layer
+            .iter()
+            .all(|g| matches!(g, Some(c) if cancelled.contains(c)))
 }
 
 /// Whether two Clifford2Q gates are inverse (= equal, they are Hermitian) up
@@ -261,19 +414,34 @@ pub fn order_groups_interruptible(
         return Some(remaining);
     }
     let n = circuits.iter().map(Circuit::num_qubits).max().unwrap_or(0);
+    // Seams are built when a group enters the lookahead window and dropped
+    // once a later group is placed after it: at most `lookahead + 1` live.
+    let mut seams: Vec<Option<Seam>> = circuits.iter().map(|_| None).collect();
+    let mut scratch = Vec::new();
     let mut frontier = Frontier::new(n);
-    let mut result = vec![remaining.remove(0)];
-    frontier.push(&circuits[result[0]]);
+    let first = remaining.remove(0);
+    seams[first] = Some(Seam::new(&circuits[first], opts.routing_aware));
+    frontier.push(&circuits[first]);
+    let mut result = vec![first];
     while !remaining.is_empty() {
         if interrupted() {
             return None;
         }
         let last = *result.last().expect("result is nonempty");
         let window = remaining.len().min(opts.lookahead.max(1));
+        for &cand in &remaining[..window] {
+            if seams[cand].is_none() {
+                seams[cand] = Some(Seam::new(&circuits[cand], opts.routing_aware));
+            }
+        }
+        let prev = seams[last]
+            .as_ref()
+            .expect("the last placed group has a seam");
         let mut best = 0usize;
         let mut best_cost = f64::INFINITY;
-        for (w, &cand) in remaining.iter().take(window).enumerate() {
-            let cost = assembly_cost(&frontier, &circuits[last], &circuits[cand], opts);
+        for (w, &cand) in remaining[..window].iter().enumerate() {
+            let next = seams[cand].as_ref().expect("window seams are built");
+            let cost = seam_cost(&frontier, prev, next, opts, &mut scratch);
             if cost < best_cost {
                 best_cost = cost;
                 best = w;
@@ -282,6 +450,7 @@ pub fn order_groups_interruptible(
         let chosen = remaining.remove(best);
         frontier.push(&circuits[chosen]);
         result.push(chosen);
+        seams[last] = None;
     }
     Some(result)
 }
@@ -289,7 +458,9 @@ pub fn order_groups_interruptible(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phoenix_circuit::interaction::routing_similarity;
     use phoenix_pauli::Clifford2QKind;
+    use proptest::prelude::*;
 
     fn cnot_chain(n: usize, pairs: &[(usize, usize)]) -> Circuit {
         let mut c = Circuit::new(n);
@@ -355,8 +526,9 @@ mod tests {
         let prev = cnot_chain(4, &[(0, 1), (1, 2), (2, 3)]);
         let similar = cnot_chain(4, &[(0, 1), (1, 2), (2, 3)]);
         let different = cnot_chain(4, &[(0, 3), (0, 2), (1, 3)]);
-        let ss = mean_similarity(&prev, &similar);
-        let sd = mean_similarity(&prev, &different);
+        let seam = |c: &Circuit| Seam::new(c, true);
+        let ss = mean_similarity(&seam(&prev), &seam(&similar));
+        let sd = mean_similarity(&seam(&prev), &seam(&different));
         assert!((ss - 1.0).abs() < 1e-12, "identical shape → 1, got {ss}");
         assert!(sd < ss, "rewired shape must be less similar: {sd}");
     }
@@ -439,6 +611,74 @@ mod tests {
             calls > 1
         });
         assert_eq!(aborted, None);
+    }
+
+    #[test]
+    fn seams_are_sized_by_support_not_register() {
+        let mut c = Circuit::new(1000);
+        c.push(Gate::Cnot(10, 990));
+        c.push(Gate::Cnot(990, 500));
+        let seam = Seam::new(&c, true);
+        assert_eq!(seam.support, vec![10, 500, 990]);
+        assert_eq!(seam.pairs, vec![(0, 2), (2, 1)]);
+        assert_eq!(seam.tail_dist.len(), 9);
+        assert_eq!(seam.head_dist[2], 1, "10 — 990 is one head edge");
+    }
+
+    /// Seeded circuits with at most `n` qubits, including 1Q-only and empty
+    /// ones, for the similarity property.
+    fn arb_block(n: usize) -> impl Strategy<Value = Circuit> {
+        proptest::collection::vec((0..n, 0..n, any::<bool>()), 0..12).prop_map(move |ops| {
+            let mut c = Circuit::new(n);
+            for (a, b, two) in ops {
+                if two && a != b {
+                    c.push(Gate::Cnot(a, b));
+                } else {
+                    c.push(Gate::H(a));
+                }
+            }
+            c
+        })
+    }
+
+    /// The bits of the seam similarity against the reference Eq. (7)
+    /// implementation over the union support.
+    fn assert_bit_exact(prev: &Circuit, next: &Circuit) {
+        let k = (support_2q(prev) | support_2q(next)).count_ones();
+        let want = if k == 0 {
+            1.0
+        } else {
+            routing_similarity(prev, next) / k as f64
+        };
+        let got = mean_similarity(&Seam::new(prev, true), &Seam::new(next, true));
+        assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+    }
+
+    proptest! {
+        #[test]
+        fn seam_similarity_is_bit_exact(prev in arb_block(7), next in arb_block(7)) {
+            assert_bit_exact(&prev, &next);
+            assert_bit_exact(&prev, &prev);
+        }
+    }
+
+    #[test]
+    fn seam_similarity_edge_cases_are_bit_exact() {
+        let empty = Circuit::new(6);
+        let oneq = Circuit::from_gates(6, vec![Gate::H(2)]);
+        let left = cnot_chain(6, &[(0, 1), (1, 2)]);
+        let right = cnot_chain(6, &[(3, 4), (5, 4)]);
+        for (a, b) in [
+            (&empty, &empty),
+            (&empty, &left),
+            (&left, &empty),
+            (&oneq, &left),
+            (&left, &right),
+            (&right, &left),
+            (&left, &left),
+        ] {
+            assert_bit_exact(a, b);
+        }
     }
 
     #[test]

@@ -59,9 +59,12 @@ pub enum MetricId {
     /// (global registry only — the simulator has no compile context).
     SimGateOps,
     /// SWAPs inserted by the router, process-wide (global registry only).
+    /// Counts routings that emit a circuit; layout-search trials do not
+    /// count.
     SabreSwapsTotal,
     /// Bridge gates emitted by the router, process-wide (global registry
-    /// only).
+    /// only). Counts routings that emit a circuit, like
+    /// [`MetricId::SabreSwapsTotal`].
     SabreBridgesTotal,
     /// Whole-program structure-artifact cache lookups that hit.
     CacheProgramHits,

@@ -6,7 +6,8 @@
 //! (each pass routes the circuit, adopts the final layout, and routes the
 //! reversed circuit back).
 
-use crate::{try_route, Layout, RouteError, RoutedCircuit, RouterOptions};
+use crate::sabre::route_lowered;
+use crate::{Layout, RouteError, RoutedCircuit, RouterOptions};
 use phoenix_circuit::Circuit;
 use phoenix_topology::CouplingGraph;
 use std::collections::BTreeMap;
@@ -91,17 +92,28 @@ pub fn search_layout(
     opts: &RouterOptions,
     iters: usize,
 ) -> Layout {
-    let lowered = circuit.lower_to_cnot();
+    search_lowered(&circuit.lower_to_cnot(), device, opts, iters)
+}
+
+/// [`search_layout`] on an already lowered circuit. The trials only count
+/// swaps and track the final layout; they build no output gates.
+fn search_lowered(
+    lowered: &Circuit,
+    device: &CouplingGraph,
+    opts: &RouterOptions,
+    iters: usize,
+) -> Layout {
+    let trial = |c: &Circuit, layout: Layout| route_lowered(c, device, layout, opts, false);
     let reversed = Circuit::from_gates(
         lowered.num_qubits(),
         lowered.gates().iter().rev().cloned().collect(),
     );
-    let seed = greedy_layout(&lowered, device);
+    let seed = greedy_layout(lowered, device);
     let mut current = seed.clone();
     let mut best = seed.clone();
     let mut best_swaps = usize::MAX;
     for _ in 0..iters.max(1) {
-        let fwd = match try_route(&lowered, device, current.clone(), opts) {
+        let fwd = match trial(lowered, current.clone()) {
             Ok(r) => r,
             Err(_) => return if best_swaps == usize::MAX { seed } else { best },
         };
@@ -109,13 +121,13 @@ pub fn search_layout(
             best_swaps = fwd.num_swaps;
             best = current.clone();
         }
-        match try_route(&reversed, device, fwd.final_layout, opts) {
+        match trial(&reversed, fwd.final_layout) {
             Ok(bwd) => current = bwd.final_layout,
             Err(_) => return best,
         }
     }
     // Final check on the last candidate.
-    if let Ok(fwd) = try_route(&lowered, device, current.clone(), opts) {
+    if let Ok(fwd) = trial(lowered, current.clone()) {
         if fwd.num_swaps < best_swaps {
             best = current;
         }
@@ -186,11 +198,11 @@ pub fn route_with_attempt_log(
     for strategy in ["searched", "greedy-seed", "trivial"] {
         let t0 = Instant::now();
         let (layout, o) = match strategy {
-            "searched" => (search_layout(&lowered, device, opts, layout_trials), opts),
+            "searched" => (search_lowered(&lowered, device, opts, layout_trials), opts),
             "greedy-seed" => (greedy_layout(&lowered, device), opts),
             _ => (Layout::trivial(n_log, n_phys), &relaxed),
         };
-        let result = try_route(&lowered, device, layout, o);
+        let result = route_lowered(&lowered, device, layout, o, true);
         let micros = t0.elapsed().as_micros() as u64;
         match result {
             Ok(routed) => {

@@ -167,7 +167,123 @@ pub fn try_route(
     initial_layout: Layout,
     opts: &RouterOptions,
 ) -> Result<RoutedCircuit, RouteError> {
-    let lowered = logical.lower_to_cnot();
+    route_lowered(&logical.lower_to_cnot(), device, initial_layout, opts, true)
+}
+
+/// Second-qubit marker of a 1Q gate in [`Queues::qubits`].
+const NONE: usize = usize::MAX;
+
+/// Per-qubit gate queues in CSR form. Gate `g` is *ready* when it heads the
+/// queue of each of its qubits; popping advances a cursor.
+struct Queues {
+    /// Qubits of each gate (`NONE` as the second entry of a 1Q gate).
+    qubits: Vec<(usize, usize)>,
+    /// `list[start[q]..start[q + 1]]` holds the gates on qubit `q`, in order.
+    start: Vec<usize>,
+    list: Vec<usize>,
+    /// `list[head[q]]` is the front gate of qubit `q`.
+    head: Vec<usize>,
+}
+
+impl Queues {
+    fn new(gates: &[Gate], n: usize) -> Self {
+        let qubits: Vec<(usize, usize)> = gates
+            .iter()
+            .map(|g| match g.qubits() {
+                (a, Some(b)) => (a, b),
+                (a, None) => (a, NONE),
+            })
+            .collect();
+        let mut start = vec![0usize; n + 1];
+        for &(a, b) in &qubits {
+            start[a + 1] += 1;
+            if b != NONE {
+                start[b + 1] += 1;
+            }
+        }
+        for q in 0..n {
+            start[q + 1] += start[q];
+        }
+        let mut fill = start.clone();
+        let mut list = vec![0usize; start[n]];
+        for (gi, &(a, b)) in qubits.iter().enumerate() {
+            list[fill[a]] = gi;
+            fill[a] += 1;
+            if b != NONE {
+                list[fill[b]] = gi;
+                fill[b] += 1;
+            }
+        }
+        let head = start[..n].to_vec();
+        Queues {
+            qubits,
+            start,
+            list,
+            head,
+        }
+    }
+
+    #[inline]
+    fn front(&self, q: usize) -> Option<usize> {
+        let h = self.head[q];
+        (h < self.start[q + 1]).then(|| self.list[h])
+    }
+
+    /// The other qubit of `q`'s front gate, when that gate is 2Q.
+    #[inline]
+    fn front_partner(&self, q: usize) -> Option<usize> {
+        let (a, b) = self.qubits[self.front(q)?];
+        match (a == q, b) {
+            (_, NONE) => None,
+            (true, b) => Some(b),
+            (false, _) => Some(a),
+        }
+    }
+}
+
+/// `base` re-evaluated as if the occupants of physical qubits `s1` and `s2`
+/// were exchanged: only gates touching `s1` or `s2` change distance.
+/// Integer sums keep the result exact whatever the evaluation order.
+#[inline]
+fn swapped_sum(
+    device: &CouplingGraph,
+    base: u64,
+    phys: &[(usize, usize, u32)],
+    s1: usize,
+    s2: usize,
+) -> u64 {
+    let mv = |p: usize| {
+        if p == s1 {
+            s2
+        } else if p == s2 {
+            s1
+        } else {
+            p
+        }
+    };
+    let mut sum = base;
+    for &(pa, pb, d) in phys {
+        if pa == s1 || pa == s2 || pb == s1 || pb == s2 {
+            sum = sum - u64::from(d) + u64::from(device.distance(mv(pa), mv(pb)));
+        }
+    }
+    sum
+}
+
+/// Routes an already lowered `{1Q, CNOT}` circuit — the engine behind
+/// [`try_route`] and the layout search.
+///
+/// With `emit == false` no output gates are built and the returned
+/// circuit is empty: layout-search trials read only `num_swaps` and
+/// `final_layout`. Only emitting routings that succeed feed the
+/// process-wide `sabre_swaps_total` / `sabre_bridges_total` counters.
+pub(crate) fn route_lowered(
+    lowered: &Circuit,
+    device: &CouplingGraph,
+    initial_layout: Layout,
+    opts: &RouterOptions,
+    emit: bool,
+) -> Result<RoutedCircuit, RouteError> {
     let n_log = lowered.num_qubits();
     let n_phys = device.num_qubits();
     if n_log > n_phys {
@@ -186,87 +302,128 @@ pub fn try_route(
     let ph = |layout: &Layout, l: usize| -> usize {
         layout.phys(l).expect("layout arity validated above")
     };
-    let budget = opts.swap_budget(lowered.counts().two_qubit(), n_phys);
-
-    // Per-qubit gate queues: gate g is ready when it heads the queue of
-    // each of its qubits.
     let gates = lowered.gates();
-    let mut queues: Vec<std::collections::VecDeque<usize>> = vec![Default::default(); n_log];
-    for (gi, g) in gates.iter().enumerate() {
-        let (a, b) = g.qubits();
-        queues[a].push_back(gi);
-        if let Some(b) = b {
-            queues[b].push_back(gi);
-        }
-    }
+    let mut queues = Queues::new(gates, n_log);
+    // The 2Q gates in program order, for the extended set.
+    let (twoq_index, twoq_pairs): (Vec<usize>, Vec<(usize, usize)>) = queues
+        .qubits
+        .iter()
+        .enumerate()
+        .filter(|(_, &(_, b))| b != NONE)
+        .map(|(gi, &pair)| (gi, pair))
+        .unzip();
+    let budget = opts.swap_budget(twoq_index.len(), n_phys);
 
     let start_layout = initial_layout.clone();
     let mut layout = initial_layout;
     let mut out = Circuit::new(n_phys);
     let mut num_swaps = 0usize;
+    let mut num_bridges = 0usize;
     let mut decay = vec![0.0f64; n_phys];
     let mut swaps_since_reset = 0usize;
     let mut last_swap: Option<(usize, usize)> = None;
 
-    let ready = |queues: &[std::collections::VecDeque<usize>], gi: usize, g: &Gate| -> bool {
-        let (a, b) = g.qubits();
-        queues[a].front() == Some(&gi) && b.is_none_or(|b| queues[b].front() == Some(&gi))
-    };
+    // Reused across steps: the drain's work sets and per-qubit pass stamp,
+    // the front layer, and the physical endpoints (with distance) of the
+    // front and extended gates.
+    let mut examine = vec![false; n_log];
+    let mut next = vec![false; n_log];
+    let mut popped_in_pass = vec![0usize; n_log];
+    let mut pass = 0usize;
+    let mut front: Vec<(usize, usize)> = Vec::new();
+    let mut front_phys: Vec<(usize, usize, u32)> = Vec::new();
+    let mut ext_phys: Vec<(usize, usize, u32)> = Vec::new();
 
     loop {
-        // Phase 1: drain everything executable.
+        // Phase 1: drain everything executable. Semantically a pass scans
+        // the front of every queue in qubit order and executes each
+        // scanned gate that is ready and coupled at that moment; newly
+        // exposed fronts wait for the next pass. A qubit whose front gate,
+        // and whose front gate's partner front, did not change since it was
+        // last scanned cannot execute, so after the first (full) pass only
+        // qubits touched by a pop are scanned. A pop that makes a later
+        // qubit's pass-start front ready scans that qubit in the same pass.
         let mut any_executed = false;
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            // Scan the front of each queue once.
-            let fronts: Vec<usize> = queues.iter().filter_map(|q| q.front().copied()).collect();
-            for gi in fronts {
-                let g = &gates[gi];
-                if !ready(&queues, gi, g) {
+        examine.fill(true);
+        loop {
+            pass += 1;
+            next.fill(false);
+            let mut progressed = false;
+            for q in 0..n_log {
+                // Skip unmarked qubits, and those popped earlier in this
+                // pass: their pass-start front already executed.
+                if !std::mem::take(&mut examine[q]) || popped_in_pass[q] == pass {
                     continue;
                 }
-                let (a, b) = g.qubits();
-                let executable = match b {
-                    None => true,
-                    Some(b) => device.contains_edge(ph(&layout, a), ph(&layout, b)),
-                };
-                if executable {
-                    out.push(g.map_qubits(&mut |q| ph(&layout, q)));
-                    queues[a].pop_front();
-                    if let Some(b) = b {
-                        queues[b].pop_front();
+                let Some(gi) = queues.front(q) else { continue };
+                let (a, b) = queues.qubits[gi];
+                if b != NONE {
+                    let other = if a == q { b } else { a };
+                    if queues.front(other) != Some(gi)
+                        || device.distance(ph(&layout, a), ph(&layout, b)) != 1
+                    {
+                        continue;
                     }
-                    progressed = true;
-                    any_executed = true;
                 }
+                if emit {
+                    out.push(gates[gi].map_qubits(&mut |x| ph(&layout, x)));
+                }
+                for x in [a, b] {
+                    if x != NONE {
+                        queues.head[x] += 1;
+                        popped_in_pass[x] = pass;
+                        next[x] = true;
+                    }
+                }
+                // After both pops, a new front gate's partner may have become
+                // ready to run.
+                for x in [a, b] {
+                    if x == NONE {
+                        continue;
+                    }
+                    if let Some(c) = queues.front_partner(x) {
+                        next[c] = true;
+                        if c > q && popped_in_pass[c] != pass {
+                            examine[c] = true;
+                        }
+                    }
+                }
+                progressed = true;
             }
+            if !progressed {
+                break;
+            }
+            any_executed = true;
+            std::mem::swap(&mut examine, &mut next);
         }
         if any_executed {
             last_swap = None;
         }
 
-        // Front layer: ready-but-blocked 2Q gates.
-        let front: Vec<(usize, usize)> = {
-            let mut f = Vec::new();
-            for q in 0..n_log {
-                if let Some(&gi) = queues[q].front() {
-                    let g = &gates[gi];
-                    if let (a, Some(b)) = g.qubits() {
-                        if ready(&queues, gi, g) && a == q {
-                            f.push((a, b));
-                        }
-                    }
+        // Front layer: ready-but-blocked 2Q gates, by control qubit; and
+        // the smallest pending gate index.
+        front.clear();
+        let mut min_pending = usize::MAX;
+        for q in 0..n_log {
+            if let Some(gi) = queues.front(q) {
+                min_pending = min_pending.min(gi);
+                let (a, b) = queues.qubits[gi];
+                if b != NONE && a == q && queues.front(b) == Some(gi) {
+                    front.push((a, b));
                 }
             }
-            f
-        };
+        }
         if front.is_empty() {
             break; // all gates executed
         }
 
-        // Extended set: the next few 2Q gates beyond the front layer.
-        let extended = extended_set(gates, &queues, opts.extended_set_size);
+        // Extended set: the first `extended_set_size` 2Q gates from the
+        // smallest pending index in program order. This window includes
+        // 2Q gates that already executed (their qubits moved on); it is
+        // kept as is, since changing it changes routing decisions.
+        let first = twoq_index.partition_point(|&gi| gi < min_pending);
+        let last = (first + opts.extended_set_size).min(twoq_pairs.len());
+        let extended = &twoq_pairs[first..last];
 
         // Bridge option: a distance-2 CNOT whose pair does not recur soon
         // is cheaper as 4 CNOTs through the middle qubit than as SWAPs.
@@ -285,24 +442,22 @@ pub fn try_route(
                 if recurs {
                     continue;
                 }
-                let path = device
-                    .shortest_path(pa, pb)
-                    .expect("distance-2 pair is connected");
-                let m = path[1];
-                // CX(pa,pb) = CX(pa,m)·CX(m,pb)·CX(pa,m)·CX(m,pb) in circuit order.
-                for _ in 0..2 {
-                    out.push(Gate::Cnot(pa, m));
-                    out.push(Gate::Cnot(m, pb));
+                if emit {
+                    let path = device
+                        .shortest_path(pa, pb)
+                        .expect("distance-2 pair is connected");
+                    let m = path[1];
+                    // CX(pa,pb) = CX(pa,m)·CX(m,pb)·CX(pa,m)·CX(m,pb) in circuit order.
+                    for _ in 0..2 {
+                        out.push(Gate::Cnot(pa, m));
+                        out.push(Gate::Cnot(m, pb));
+                    }
                 }
-                if phoenix_obs::metrics::enabled() {
-                    phoenix_obs::metrics::global()
-                        .incr(phoenix_obs::metrics::MetricId::SabreBridgesTotal);
-                }
+                num_bridges += 1;
                 // Retire the logical gate.
-                let gi = *queues[a].front().expect("front gate exists");
-                debug_assert_eq!(queues[b].front(), Some(&gi));
-                queues[a].pop_front();
-                queues[b].pop_front();
+                debug_assert_eq!(queues.front(a), queues.front(b));
+                queues.head[a] += 1;
+                queues.head[b] += 1;
                 bridged = true;
                 break;
             }
@@ -312,10 +467,27 @@ pub fn try_route(
             }
         }
 
-        // Candidate swaps: device edges touching any front-layer qubit.
+        // Candidate swaps: device edges touching any front-layer qubit,
+        // scored by the summed front-layer distance plus the weighted mean
+        // extended-set distance, times the decay factor. Distance sums are
+        // integers, converted to f64 once per candidate, so the score (and
+        // the strict `<` tie-break) equals a float accumulation exactly.
         // The swap that would undo the previous one is excluded to rule out
         // ping-pong livelock (it can never be the sole candidate: the edge
         // that was just swapped still offers its other-endpoint moves).
+        let locate = |pairs: &[(usize, usize)], buf: &mut Vec<(usize, usize, u32)>| -> u64 {
+            buf.clear();
+            let mut sum = 0u64;
+            for &(a, b) in pairs {
+                let (pa, pb) = (ph(&layout, a), ph(&layout, b));
+                let d = device.distance(pa, pb);
+                sum += u64::from(d);
+                buf.push((pa, pb, d));
+            }
+            sum
+        };
+        let front_base = locate(&front, &mut front_phys);
+        let ext_base = locate(extended, &mut ext_phys);
         let mut best: Option<((usize, usize), f64)> = None;
         for &(a, b) in &front {
             for &l in &[a, b] {
@@ -325,17 +497,10 @@ pub fn try_route(
                     if Some(edge) == last_swap {
                         continue;
                     }
-                    let mut trial = layout.clone();
-                    trial.swap_physical(edge.0, edge.1);
-                    let mut score = 0.0;
-                    for &(fa, fb) in &front {
-                        score += device.distance(ph(&trial, fa), ph(&trial, fb)) as f64;
-                    }
+                    let mut score =
+                        swapped_sum(device, front_base, &front_phys, edge.0, edge.1) as f64;
                     if !extended.is_empty() {
-                        let mut ext = 0.0;
-                        for &(ea, eb) in &extended {
-                            ext += device.distance(ph(&trial, ea), ph(&trial, eb)) as f64;
-                        }
+                        let ext = swapped_sum(device, ext_base, &ext_phys, edge.0, edge.1) as f64;
                         score += opts.extended_weight * ext / extended.len() as f64;
                     }
                     score *= 1.0 + decay[edge.0] + decay[edge.1];
@@ -349,9 +514,8 @@ pub fn try_route(
         if num_swaps >= budget {
             return Err(RouteError::SwapBudgetExceeded { budget });
         }
-        out.push(Gate::Swap(p1, p2));
-        if phoenix_obs::metrics::enabled() {
-            phoenix_obs::metrics::global().incr(phoenix_obs::metrics::MetricId::SabreSwapsTotal);
+        if emit {
+            out.push(Gate::Swap(p1, p2));
         }
         layout.swap_physical(p1, p2);
         last_swap = Some((p1, p2));
@@ -365,37 +529,17 @@ pub fn try_route(
         }
     }
 
+    if emit && phoenix_obs::metrics::enabled() {
+        use phoenix_obs::metrics::{global, MetricId};
+        global().add(MetricId::SabreSwapsTotal, num_swaps as u64);
+        global().add(MetricId::SabreBridgesTotal, num_bridges as u64);
+    }
     Ok(RoutedCircuit {
         circuit: out,
         num_swaps,
         initial_layout: start_layout,
         final_layout: layout,
     })
-}
-
-/// Collects up to `k` upcoming 2Q gates past the front layer (in program
-/// order), as logical qubit pairs.
-fn extended_set(
-    gates: &[Gate],
-    queues: &[std::collections::VecDeque<usize>],
-    k: usize,
-) -> Vec<(usize, usize)> {
-    let executed_before: std::collections::BTreeSet<usize> =
-        queues.iter().filter_map(|q| q.front().copied()).collect();
-    let min_pending = match executed_before.iter().next() {
-        Some(&m) => m,
-        None => return Vec::new(),
-    };
-    gates
-        .iter()
-        .enumerate()
-        .skip(min_pending)
-        .filter_map(|(_, g)| match g.qubits() {
-            (a, Some(b)) => Some((a, b)),
-            _ => None,
-        })
-        .take(k)
-        .collect()
 }
 
 #[cfg(test)]

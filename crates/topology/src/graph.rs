@@ -4,7 +4,8 @@ use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 /// An undirected device coupling graph with precomputed all-pairs
-/// shortest-path distances.
+/// shortest-path distances, stored as one row-major `n × n` table so the
+/// router's and the layout search's inner loops read a single slice.
 ///
 /// # Examples
 ///
@@ -20,7 +21,7 @@ pub struct CouplingGraph {
     n: usize,
     edges: BTreeSet<(usize, usize)>,
     adj: Vec<Vec<usize>>,
-    dist: Vec<Vec<u32>>,
+    dist: Vec<u32>,
 }
 
 /// Distance value for unreachable pairs.
@@ -192,12 +193,14 @@ impl CouplingGraph {
     /// Panics if either index is out of range.
     #[inline]
     pub fn distance(&self, a: usize, b: usize) -> u32 {
-        self.dist[a][b]
+        // `a` is bounds-checked by the slice index once `b < n` holds.
+        assert!(b < self.n, "qubit {b} out of range for {} qubits", self.n);
+        self.dist[a * self.n + b]
     }
 
     /// Whether every qubit can reach every other.
     pub fn is_connected(&self) -> bool {
-        self.n <= 1 || self.dist[0].iter().all(|&d| d < UNREACHABLE)
+        self.n <= 1 || self.dist[..self.n].iter().all(|&d| d < UNREACHABLE)
     }
 
     /// Maximum vertex degree.
@@ -209,7 +212,7 @@ impl CouplingGraph {
     ///
     /// Returns `None` if the qubits are disconnected.
     pub fn shortest_path(&self, a: usize, b: usize) -> Option<Vec<usize>> {
-        if self.dist[a][b] >= UNREACHABLE {
+        if self.distance(a, b) >= UNREACHABLE {
             return None;
         }
         let mut path = vec![a];
@@ -217,7 +220,7 @@ impl CouplingGraph {
         while cur != b {
             let next = *self.adj[cur]
                 .iter()
-                .find(|&&v| self.dist[v][b] + 1 == self.dist[cur][b])
+                .find(|&&v| self.distance(v, b) + 1 == self.distance(cur, b))
                 .expect("distance table is consistent");
             path.push(next);
             cur = next;
@@ -266,9 +269,10 @@ fn heavy_hex_from_rows(rows: &[(usize, usize)]) -> CouplingGraph {
     CouplingGraph::from_edges(next_id, edges)
 }
 
-fn all_pairs_bfs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<u32>> {
-    let mut dist = vec![vec![UNREACHABLE; n]; n];
-    for (s, row) in dist.iter_mut().enumerate() {
+/// Row-major `n × n` BFS distance table.
+fn all_pairs_bfs(n: usize, adj: &[Vec<usize>]) -> Vec<u32> {
+    let mut dist = vec![UNREACHABLE; n * n];
+    for (s, row) in dist.chunks_exact_mut(n.max(1)).enumerate() {
         row[s] = 0;
         let mut queue = VecDeque::from([s]);
         while let Some(u) = queue.pop_front() {
@@ -392,6 +396,14 @@ mod tests {
         assert!(!g.is_connected());
         assert!(g.shortest_path(0, 3).is_none());
         assert!(g.distance(0, 3) > 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn distance_rejects_out_of_range_column() {
+        // Row-major storage must not let (0, n) alias (1, 0).
+        let g = CouplingGraph::line(3);
+        let _ = g.distance(0, 3);
     }
 
     #[test]
