@@ -106,9 +106,10 @@ pub fn strategies() -> Vec<Box<dyn CompilerStrategy>> {
 ///
 /// # Panics
 ///
-/// Panics if the device is smaller than the program.
+/// Panics if the device is smaller than the program or routing fails.
 pub fn hardware_aware(logical: &Circuit, device: &CouplingGraph) -> HardwareProgram {
-    phoenix_core::run_hardware_backend(logical, device, &RouterOptions::default(), 3)
+    phoenix_core::try_run_hardware_backend(logical, device, &RouterOptions::default(), 3)
+        .unwrap_or_else(|e| panic!("hardware backend failed: {e}"))
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use phoenix_baselines::strategies;
 use phoenix_bench::{
     geomean, phoenix_compiler, row, short_label, write_results, Metrics, Tracer, SEED,
 };
-use phoenix_core::CompilerStrategy;
+use phoenix_core::{CompilerStrategy, Device};
 use phoenix_hamil::uccsd;
 use phoenix_topology::CouplingGraph;
 use serde::Serialize;
@@ -55,7 +55,8 @@ fn main() {
                 },
             );
         }
-        tracer.record_hardware(h.name(), &phoenix_compiler(), n, h.terms(), &device);
+        let bare = Device::bare(device.clone());
+        tracer.record_device(h.name(), &phoenix_compiler(), n, h.terms(), &bare);
         eprintln!("[fig6] {} done", h.name());
         entries.push(Entry {
             benchmark: h.name().to_string(),

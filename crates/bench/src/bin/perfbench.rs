@@ -16,7 +16,7 @@ use std::sync::Arc;
 use phoenix_bench::{or_exit, phoenix_compiler, row, write_results, Tracer, SEED};
 use phoenix_core::group::group_by_support;
 use phoenix_core::simplify::simplify_terms_with;
-use phoenix_core::{CompileCache, CompileRequest, SimplifiedGroup, SimplifyOptions};
+use phoenix_core::{CompileCache, CompileRequest, SimplifiedGroup, SimplifyOptions, Target};
 use phoenix_hamil::{uccsd, Molecule};
 use serde::Serialize;
 use std::time::Instant;
@@ -36,7 +36,7 @@ struct Row {
     stage2_incremental_ms: f64,
     /// naive / incremental.
     stage2_speedup: f64,
-    /// End-to-end `compile_to_cnot` wall-clock (incremental evaluator).
+    /// End-to-end CNOT-target compile wall-clock (incremental evaluator).
     end_to_end_ms: f64,
     /// Uncached logical compile wall-clock (best of reps).
     cold_compile_ms: f64,
@@ -153,7 +153,10 @@ fn main() {
         let mut e2e_ms = f64::INFINITY;
         for _ in 0..reps {
             let t = Instant::now();
-            let _ = or_exit(phoenix_compiler().try_compile_to_cnot(n, h.terms()), label);
+            let request = phoenix_compiler()
+                .request(n, h.terms())
+                .target(Target::Cnot);
+            let _ = or_exit(request.run(), label);
             e2e_ms = e2e_ms.min(t.elapsed().as_secs_f64() * 1e3);
         }
         tracer.record_logical(label, &phoenix_compiler(), n, h.terms());

@@ -11,7 +11,7 @@ use phoenix_bench::{
     geomean, or_exit, phoenix_compiler, row, short_label, write_results, Tracer, SEED,
 };
 use phoenix_circuit::{peephole, rebase, Circuit};
-use phoenix_core::CompilerStrategy;
+use phoenix_core::{CompilerStrategy, Device, Target};
 use phoenix_hamil::uccsd;
 use phoenix_topology::CouplingGraph;
 use serde::Serialize;
@@ -31,6 +31,7 @@ struct Regime {
 
 fn main() {
     let device = CouplingGraph::manhattan65();
+    let bare = Device::bare(device.clone());
     let suite = uccsd::table1_suite(SEED);
     let mut tracer = Tracer::from_env("table3");
     // Every general-purpose baseline, as trait objects.
@@ -45,14 +46,13 @@ fn main() {
         let n = h.num_qubits();
         let phoenix = phoenix_compiler();
         // Logical circuits.
-        let p_cnot = or_exit(phoenix.try_compile_to_cnot(n, h.terms()), h.name());
-        let p_su4 = or_exit(phoenix.try_compile_to_su4(n, h.terms()), h.name());
-        let p_hw = or_exit(
-            phoenix.try_compile_hardware_aware(n, h.terms(), &device),
-            h.name(),
-        );
-        let p_hw_su4 = rebase::to_su4(&p_hw.circuit);
-        tracer.record_hardware(h.name(), &phoenix, n, h.terms(), &device);
+        let compile =
+            |target| or_exit(phoenix.request(n, h.terms()).target(target).run(), h.name());
+        let p_cnot = compile(Target::Cnot).circuit;
+        let p_su4 = compile(Target::Su4).circuit;
+        let p_hw = compile(Target::Device(bare.clone())).circuit;
+        let p_hw_su4 = rebase::to_su4(&p_hw);
+        tracer.record_device(h.name(), &phoenix, n, h.terms(), &bare);
         for strategy in &baselines {
             let name = short_label(strategy.name());
             let b_logical = peephole::optimize(&strategy.compile_logical(n, h.terms()));
@@ -62,7 +62,7 @@ fn main() {
             for (regime, p, bl) in [
                 ("CNOT all-to-all", &p_cnot, &b_logical),
                 ("SU(4) all-to-all", &p_su4, &b_su4),
-                ("CNOT heavy-hex", &p_hw.circuit, &b_hw.circuit),
+                ("CNOT heavy-hex", &p_hw, &b_hw.circuit),
                 ("SU(4) heavy-hex", &p_hw_su4, &b_hw_su4),
             ] {
                 let (pc, pd) = metrics_2q(p);

@@ -8,7 +8,7 @@
 
 use phoenix_baselines::Baseline;
 use phoenix_bench::{phoenix_compiler, row, write_results, Metrics, Tracer, SEED};
-use phoenix_core::{CompilerStrategy, HardwareProgram};
+use phoenix_core::{CompilerStrategy, Device, HardwareProgram};
 use phoenix_hamil::qaoa;
 use phoenix_topology::CouplingGraph;
 use serde::Serialize;
@@ -52,7 +52,8 @@ fn main() {
         let [qan, phoenix] = contenders
             .each_ref()
             .map(|s| side(&s.compile_hardware(n, h.terms(), &device)));
-        tracer.record_hardware(h.name(), &phoenix_compiler(), n, h.terms(), &device);
+        let bare = Device::bare(device.clone());
+        tracer.record_device(h.name(), &phoenix_compiler(), n, h.terms(), &bare);
         eprintln!("[table4] {} done", h.name());
         entries.push(Entry {
             benchmark: h.name().to_string(),

@@ -231,7 +231,14 @@ fn patch_gates(gates: &mut [Gate], bindings: &[(usize, usize, i8)], angles: &[f6
     }
 }
 
-fn check_angles(angles: &[f64], expected: usize) -> Result<(), BindError> {
+/// Checks an angle vector before binding: exactly `expected` angles, all
+/// finite.
+///
+/// # Errors
+///
+/// [`BindError::AngleCount`] on a length mismatch, otherwise
+/// [`BindError::NonFiniteAngle`] naming the first non-finite slot.
+pub fn check_angles(angles: &[f64], expected: usize) -> Result<(), BindError> {
     if angles.len() != expected {
         return Err(BindError::AngleCount {
             expected,

@@ -33,13 +33,10 @@ use phoenix_obs::metrics::MetricId;
 use phoenix_obs::ObsCollector;
 use phoenix_pauli::{CanonicalIr, PauliString};
 
-use crate::anytime::AnytimePass;
 use crate::error::{validate_program, PhoenixError};
 use crate::observe::MetricsObserver;
 use crate::pass::{CompileContext, PassManager, PassTrace};
-use crate::passes::{ConcatPass, GroupPass, OrderPass, SimplifySynthPass, TransformPass};
-use crate::pipeline::{hardware_backend, PhoenixOptions};
-use crate::request::Target;
+use crate::pipeline::PhoenixOptions;
 
 /// SplitMix64-style finalizer used for the options fingerprint.
 fn mix(mut x: u64) -> u64 {
@@ -65,53 +62,15 @@ pub(crate) fn options_fingerprint(options: &PhoenixOptions, routing_aware: bool)
 
 /// Whether the split structure/bind path may serve a request with these
 /// options. Pass budgets make outputs time-dependent and verification
-/// carries state across the whole pipeline, so both fall back to the
-/// legacy single-manager path (the cache is simply not consulted).
+/// carries one unitary snapshot across the whole pipeline, so both run the
+/// whole pass list uncached (the cache is simply not consulted).
 pub(crate) fn split_path_allowed(options: &PhoenixOptions) -> bool {
     options.pass_budget.is_none() && !options.verify
 }
 
-/// The structure-phase pass sequence: the canonical logical passes, minus
-/// the verifier attachment that [`split_path_allowed`] excludes. A pass
-/// budget *is* attached: `structure()`/`bind()` run this manager even when
-/// the split path is disallowed for `run()` (the cache is filtered out by
-/// [`obtain_structure`] instead), and a budgeted request must truncate
-/// deterministically rather than silently optimize forever.
-fn structure_manager(options: &PhoenixOptions, routing_aware: bool) -> PassManager {
-    match options.pass_budget {
-        // Budgeted structure compiles deepen anytime-style, mirroring
-        // `PhoenixCompiler::logical_passes`.
-        Some(budget) => PassManager::new()
-            .with(GroupPass)
-            .with(AnytimePass {
-                lookahead: options.lookahead,
-                simplify: options.enable_simplification,
-                order_enabled: options.enable_ordering,
-                routing_aware: routing_aware || options.routing_aware,
-                threads: options.stage2_threads,
-                scan_threads: options.stage2_scan_threads,
-                max_rounds: options.anytime_rounds,
-            })
-            .with_budget(budget),
-        None => PassManager::new()
-            .with(GroupPass)
-            .with(SimplifySynthPass {
-                simplify: options.enable_simplification,
-                threads: options.stage2_threads,
-                scan_threads: options.stage2_scan_threads,
-                fault_inject_group: None,
-            })
-            .with(OrderPass {
-                lookahead: options.lookahead,
-                routing_aware: routing_aware || options.routing_aware,
-                enabled: options.enable_ordering,
-            })
-            .with(ConcatPass),
-    }
-}
-
-/// Runs the structure phase cold: compiles `terms` slot-encoded through the
-/// logical pipeline and decodes the skeleton into a [`StructureArtifact`].
+/// Runs the structure phase cold: compiles `terms` slot-encoded through
+/// `structure` (the structure half of `pipeline::passes`) and decodes the
+/// skeleton into a [`StructureArtifact`].
 ///
 /// `cache` (when given) is threaded into the context so stage 2 can reuse
 /// per-group artifacts; `obs` instruments the run.
@@ -119,7 +78,7 @@ pub(crate) fn compile_structure(
     num_qubits: usize,
     terms: &[(PauliString, f64)],
     options: &PhoenixOptions,
-    routing_aware: bool,
+    structure: PassManager,
     cache: Option<&Arc<CompileCache>>,
     obs: Option<&Arc<ObsCollector>>,
 ) -> Result<(Arc<StructureArtifact>, PassTrace), PhoenixError> {
@@ -137,11 +96,10 @@ pub(crate) fn compile_structure(
     ctx.cache = cache.cloned();
     ctx.obs = obs.cloned();
     ctx.cancel = options.cancel.clone();
-    let manager = structure_manager(options, routing_aware);
     let manager = if obs.is_some() {
-        manager.with_observer(Arc::new(MetricsObserver))
+        structure.with_observer(Arc::new(MetricsObserver))
     } else {
-        manager
+        structure
     };
     let trace = manager.run(&mut ctx)?;
     let artifact = StructureArtifact::from_slot_encoded(
@@ -156,26 +114,29 @@ pub(crate) fn compile_structure(
 }
 
 /// Obtains the structure artifact for a request: from the program-level
-/// cache when possible, compiling (and inserting) otherwise. Returns the
-/// artifact, whether it was a program-cache hit, and the structure-phase
-/// trace (empty on a hit — those passes never ran).
+/// cache when possible, compiling `terms` through `structure` (and
+/// inserting the result) otherwise. `routing_aware` keys the cache entry
+/// like the ordering it selects. Returns the artifact, whether it was a
+/// program-cache hit, and the structure-phase trace (empty on a hit —
+/// those passes never ran).
 pub(crate) fn obtain_structure(
     num_qubits: usize,
     terms: &[(PauliString, f64)],
     options: &PhoenixOptions,
     routing_aware: bool,
+    structure: PassManager,
     cache: Option<&Arc<CompileCache>>,
     obs: Option<&Arc<ObsCollector>>,
 ) -> Result<(Arc<StructureArtifact>, bool, PassTrace), PhoenixError> {
-    // `structure()`/`bind()` land here regardless of options, so re-apply
-    // the same gating `run()` uses before taking the split path: a request
-    // carrying a pass budget (even `Duration::ZERO`) or verification must
-    // never be served from — or leak into — the cache. A zero/expired
-    // budget thus deterministically takes the truncated compile path.
+    // `structure()` lands here regardless of options, so re-apply the same
+    // gating `run()` uses before taking the split path: a request carrying
+    // a pass budget (even `Duration::ZERO`) or verification must never be
+    // served from — or leak into — the cache. A zero/expired budget thus
+    // deterministically takes the truncated compile path.
     let cache = cache.filter(|_| split_path_allowed(options));
     let Some(cache) = cache else {
         let (artifact, trace) =
-            compile_structure(num_qubits, terms, options, routing_aware, None, obs)?;
+            compile_structure(num_qubits, terms, options, structure, None, obs)?;
         return Ok((artifact, false, trace));
     };
     let key = ProgramKey::new(
@@ -198,41 +159,9 @@ pub(crate) fn obtain_structure(
         o.metrics().incr(MetricId::CacheProgramMisses);
     }
     let (artifact, trace) =
-        compile_structure(num_qubits, terms, options, routing_aware, Some(cache), obs)?;
+        compile_structure(num_qubits, terms, options, structure, Some(cache), obs)?;
     let artifact = cache.insert_program(key, artifact);
     Ok((artifact, false, trace))
-}
-
-/// The post-bind lowering sequence for `target`: the circuit-level passes
-/// the legacy single-manager path would have run after concatenation, on
-/// the same options. [`Target::Logical`] lowers with an empty manager.
-pub(crate) fn lowering_manager(target: &Target, options: &PhoenixOptions) -> PassManager {
-    let manager = match target {
-        Target::Logical => PassManager::new(),
-        Target::Cnot => PassManager::new().with(TransformPass::peephole()),
-        Target::Su4 => PassManager::new().with(TransformPass::su4_rebase()),
-        Target::CnotViaKak => PassManager::new()
-            .with(TransformPass::su4_rebase())
-            .with(TransformPass::kak_resynthesis())
-            .with(TransformPass::peephole()),
-        Target::Hardware(_) => {
-            PassManager::new().append(hardware_backend(&options.router, options.layout_trials))
-        }
-        Target::Device(device) => PassManager::new().append(crate::pipeline::device_backend(
-            device,
-            &options.router,
-            options.layout_trials,
-        )),
-        // Fleet requests fan out into per-member `Target::Device` requests
-        // before any lowering happens (see `CompileRequest::fleet`), so a
-        // fleet target never reaches the lowering manager; lower like
-        // `Logical` to stay total.
-        Target::Fleet(_) => PassManager::new(),
-    };
-    match options.pass_budget {
-        Some(budget) => manager.with_budget(budget),
-        None => manager,
-    }
 }
 
 #[cfg(test)]
@@ -246,6 +175,11 @@ mod tests {
             .enumerate()
             .map(|(i, l)| (l.parse().unwrap(), 0.02 * (i + 1) as f64))
             .collect()
+    }
+
+    /// The structure half of the logical target's pass list.
+    fn logical(options: &PhoenixOptions) -> PassManager {
+        crate::pipeline::passes(&crate::Target::Logical, options).0
     }
 
     #[test]
@@ -280,7 +214,8 @@ mod tests {
     fn structure_bind_reproduces_the_legacy_logical_compile() {
         let t = terms(&["ZYY", "ZZY", "XYY", "XZY", "IZZ", "XIX"]);
         let opts = PhoenixOptions::default();
-        let (artifact, trace) = compile_structure(3, &t, &opts, false, None, None).unwrap();
+        let (artifact, trace) =
+            compile_structure(3, &t, &opts, logical(&opts), None, None).unwrap();
         assert_eq!(trace.passes.len(), 4);
         let angles: Vec<f64> = t.iter().map(|(_, c)| *c).collect();
         let bound = artifact.bind(&angles).unwrap();
@@ -298,8 +233,8 @@ mod tests {
             *c *= -3.25;
         }
         let opts = PhoenixOptions::default();
-        let (art_a, _) = compile_structure(3, &a, &opts, false, None, None).unwrap();
-        let (art_b, _) = compile_structure(3, &b, &opts, false, None, None).unwrap();
+        let (art_a, _) = compile_structure(3, &a, &opts, logical(&opts), None, None).unwrap();
+        let (art_b, _) = compile_structure(3, &b, &opts, logical(&opts), None, None).unwrap();
         assert_eq!(art_a.skeleton(), art_b.skeleton());
         assert_eq!(art_a.digest(), art_b.digest());
     }
@@ -310,17 +245,44 @@ mod tests {
         let opts = PhoenixOptions::default();
         let cache = Arc::new(CompileCache::new());
         let (first, hit1, trace1) =
-            obtain_structure(3, &t, &opts, false, Some(&cache), None).unwrap();
+            obtain_structure(3, &t, &opts, false, logical(&opts), Some(&cache), None).unwrap();
         assert!(!hit1);
         assert!(!trace1.passes.is_empty());
         let (second, hit2, trace2) =
-            obtain_structure(3, &t, &opts, false, Some(&cache), None).unwrap();
+            obtain_structure(3, &t, &opts, false, logical(&opts), Some(&cache), None).unwrap();
         assert!(hit2);
         assert!(trace2.passes.is_empty());
         assert!(Arc::ptr_eq(&first, &second));
         let stats = cache.stats();
         assert_eq!(stats.program_hits, 1);
         assert_eq!(stats.program_misses, 1);
+    }
+
+    #[test]
+    fn structure_phase_runs_the_verifier() {
+        use crate::pass::EVENT_VERIFIED;
+        let programs = [
+            terms(&["ZYY", "ZZY", "XYY", "XZY"]),
+            terms(&["ZYY", "ZZY", "XYY", "XZY", "IZZ", "XIX", "ZZI", "YIY"]),
+        ];
+        for t in programs {
+            for routing_aware in [false, true] {
+                let opts = PhoenixOptions {
+                    verify: true,
+                    routing_aware,
+                    ..PhoenixOptions::default()
+                };
+                // What `CompileRequest::structure` runs.
+                let (_, _, trace) =
+                    obtain_structure(3, &t, &opts, false, logical(&opts), None, None).unwrap();
+                assert_eq!(
+                    trace.events_of_kind(EVENT_VERIFIED).len(),
+                    4,
+                    "{} terms, routing-aware {routing_aware}",
+                    t.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@ use phoenix_pauli::PauliString;
 use phoenix_router::RouterOptions;
 use phoenix_topology::CouplingGraph;
 
-use crate::pipeline::{run_hardware_backend, HardwareProgram, PhoenixCompiler};
+use crate::pipeline::{try_run_hardware_backend, HardwareProgram, PhoenixCompiler};
+use crate::request::{CompileOutcome, CompileRequest, Target};
+use phoenix_device::Device;
 
 /// A compilation strategy: logical synthesis plus shared back ends.
 pub trait CompilerStrategy {
@@ -36,20 +38,30 @@ pub trait CompilerStrategy {
     ///
     /// # Panics
     ///
-    /// Panics if the device has fewer qubits than the program.
+    /// Panics if the device has fewer qubits than the program or routing
+    /// fails.
     fn compile_hardware(
         &self,
         n: usize,
         terms: &[(PauliString, f64)],
         device: &CouplingGraph,
     ) -> HardwareProgram {
-        run_hardware_backend(
+        try_run_hardware_backend(
             &self.compile_logical(n, terms),
             device,
             &RouterOptions::default(),
             3,
         )
+        .unwrap_or_else(|e| panic!("hardware backend failed: {e}"))
     }
+}
+
+/// Runs `request`, panicking on failure: the harness only compiles valid
+/// programs onto devices that fit them.
+fn run(request: CompileRequest) -> CompileOutcome {
+    request
+        .run()
+        .unwrap_or_else(|e| panic!("phoenix compilation failed: {e}"))
 }
 
 impl CompilerStrategy for PhoenixCompiler {
@@ -58,11 +70,11 @@ impl CompilerStrategy for PhoenixCompiler {
     }
 
     fn compile_logical(&self, n: usize, terms: &[(PauliString, f64)]) -> Circuit {
-        self.compile(n, terms).circuit
+        run(self.request(n, terms)).circuit
     }
 
     fn compile_optimized(&self, n: usize, terms: &[(PauliString, f64)]) -> Circuit {
-        self.compile_to_cnot(n, terms)
+        run(self.request(n, terms).target(Target::Cnot)).circuit
     }
 
     /// PHOENIX's hardware path re-runs ordering routing-aware (Eq. (7))
@@ -73,7 +85,10 @@ impl CompilerStrategy for PhoenixCompiler {
         terms: &[(PauliString, f64)],
         device: &CouplingGraph,
     ) -> HardwareProgram {
-        self.compile_hardware_aware(n, terms, device)
+        let device = Device::bare(device.clone());
+        run(self.request(n, terms).target(Target::Device(device)))
+            .hardware
+            .expect("a device compile carries its hardware program")
     }
 }
 
@@ -92,12 +107,22 @@ mod tests {
         assert_eq!(strategy.name(), "PHOENIX");
         assert_eq!(
             strategy.compile_optimized(3, &t),
-            compiler.compile_to_cnot(3, &t)
+            compiler
+                .request(3, &t)
+                .target(Target::Cnot)
+                .run()
+                .unwrap()
+                .circuit
         );
         let dev = CouplingGraph::line(3);
         assert_eq!(
-            strategy.compile_hardware(3, &t, &dev),
-            compiler.compile_hardware_aware(3, &t, &dev)
+            Some(strategy.compile_hardware(3, &t, &dev)),
+            compiler
+                .request(3, &t)
+                .target(Target::Device(Device::bare(dev)))
+                .run()
+                .unwrap()
+                .hardware
         );
     }
 }

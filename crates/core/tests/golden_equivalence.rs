@@ -1,9 +1,9 @@
 //! Golden-equivalence tests for the pass-manager refactor.
 //!
-//! The pass pipeline must be a pure re-organization: for every entry point,
-//! its output is gate-for-gate identical to the pre-refactor monolithic
-//! pipeline, re-implemented verbatim here from the public stage functions
-//! (`group_by_support` → `simplify_terms`/`synthesize_group` →
+//! The pass pipeline must be a pure re-organization: for every target, its
+//! `CompileRequest` output is gate-for-gate identical to the pre-refactor
+//! monolithic pipeline, re-implemented verbatim here from the public stage
+//! functions (`group_by_support` → `simplify_terms`/`synthesize_group` →
 //! `order_groups` → concatenation, plus the peephole/route back ends).
 
 use phoenix_circuit::{peephole, Circuit};
@@ -11,7 +11,10 @@ use phoenix_core::group::group_by_support;
 use phoenix_core::order::{order_groups, OrderOptions};
 use phoenix_core::simplify::simplify_terms;
 use phoenix_core::synth::synthesize_group;
-use phoenix_core::{HardwareProgram, PhoenixCompiler, PhoenixOptions};
+use phoenix_core::{
+    try_run_hardware_backend, CompileOutcome, Device, HardwareProgram, PhoenixCompiler,
+    PhoenixOptions, Target,
+};
 use phoenix_hamil::{uccsd, Molecule};
 use phoenix_pauli::PauliString;
 use phoenix_router::{route, search_layout, Layout, RouterOptions};
@@ -109,27 +112,37 @@ fn monolithic_hardware(
     }
 }
 
+/// `compiler`'s request for `terms`, compiled to `target`.
+fn compile(
+    compiler: &PhoenixCompiler,
+    n: usize,
+    terms: &[(PauliString, f64)],
+    target: Target,
+) -> CompileOutcome {
+    compiler.request(n, terms).target(target).run().unwrap()
+}
+
 fn assert_logical_golden(n: usize, terms: &[(PauliString, f64)]) {
     let compiler = PhoenixCompiler::default();
     let (circuit, num_groups, term_order) = monolithic_compile(n, terms, &compiler.options);
 
-    let out = compiler.compile(n, terms);
+    let out = compile(&compiler, n, terms, Target::Logical);
     assert_eq!(out.circuit, circuit, "high-level circuit diverged");
     assert_eq!(out.num_groups, num_groups);
     assert_eq!(out.term_order, term_order);
 
     assert_eq!(
-        compiler.compile_to_cnot(n, terms),
+        compile(&compiler, n, terms, Target::Cnot).circuit,
         peephole::optimize(&circuit),
         "CNOT-ISA output diverged"
     );
     assert_eq!(
-        compiler.compile_to_su4(n, terms),
+        compile(&compiler, n, terms, Target::Su4).circuit,
         phoenix_circuit::rebase::to_su4(&circuit),
         "SU(4)-ISA output diverged"
     );
     assert_eq!(
-        compiler.compile_to_cnot_via_kak(n, terms),
+        compile(&compiler, n, terms, Target::CnotViaKak).circuit,
         peephole::optimize(&phoenix_circuit::kak::resynthesize(
             &phoenix_circuit::rebase::to_su4(&circuit)
         )),
@@ -155,14 +168,14 @@ fn hardware_outputs_match_the_monolithic_pipeline() {
     let compiler = PhoenixCompiler::default();
     let device = CouplingGraph::manhattan65();
     let golden = monolithic_hardware(n, &terms, &compiler.options, &device);
-    let hw = compiler.compile_hardware_aware(n, &terms, &device);
-    assert_eq!(hw, golden, "hardware-aware output diverged");
+    let hw = compile(&compiler, n, &terms, Target::Device(Device::bare(device))).hardware;
+    assert_eq!(hw, Some(golden), "hardware-aware output diverged");
 }
 
 #[test]
 fn baseline_hardware_wrapper_matches_the_monolithic_backend() {
     let (n, terms) = fig1b();
-    let logical = PhoenixCompiler::default().compile(n, &terms).circuit;
+    let logical = compile(&PhoenixCompiler::default(), n, &terms, Target::Logical).circuit;
     let device = CouplingGraph::line(3);
 
     // The pre-refactor `phoenix_baselines::hardware_aware`, verbatim.
@@ -179,24 +192,23 @@ fn baseline_hardware_wrapper_matches_the_monolithic_backend() {
             num_swaps: routed.num_swaps,
         }
     };
-    let got = phoenix_core::run_hardware_backend(&logical, &device, &RouterOptions::default(), 3);
-    assert_eq!(got, golden);
+    let got = try_run_hardware_backend(&logical, &device, &RouterOptions::default(), 3);
+    assert_eq!(got.unwrap(), golden);
 }
 
 #[test]
 fn parallel_stage2_is_bit_identical_across_thread_counts() {
     let (n, terms) = uccsd_lih();
-    let baseline = PhoenixCompiler::new(PhoenixOptions {
-        stage2_threads: 1,
-        ..PhoenixOptions::default()
-    })
-    .compile(n, &terms);
-    for threads in [0, 2, 4, 16] {
-        let out = PhoenixCompiler::new(PhoenixOptions {
-            stage2_threads: threads,
+    let run = |stage2_threads: usize| {
+        let compiler = PhoenixCompiler::new(PhoenixOptions {
+            stage2_threads,
             ..PhoenixOptions::default()
-        })
-        .compile(n, &terms);
-        assert_eq!(out, baseline, "stage2_threads = {threads}");
+        });
+        let out = compile(&compiler, n, &terms, Target::Logical);
+        (out.circuit, out.num_groups, out.term_order)
+    };
+    let baseline = run(1);
+    for threads in [0, 2, 4, 16] {
+        assert_eq!(run(threads), baseline, "stage2_threads = {threads}");
     }
 }

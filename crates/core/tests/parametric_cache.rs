@@ -4,12 +4,17 @@
 //! compilation's output — cold (cache miss), warm (cache hit), and legacy
 //! (no cache) runs are bit-for-bit identical — and caching silently
 //! disengages for requests it must not serve (pass budgets, verification).
+//! `bind()` is `run()` on the rebound program, so it keeps every guarantee
+//! `run()` gives: verification, the anytime depth, and one pass budget.
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use phoenix_core::{CompileCache, CompileRequest, PhoenixError, PhoenixOptions, Target};
+use phoenix_core::{
+    CompileCache, CompileOutcome, CompileRequest, DeviceRegistry, PhoenixError, PhoenixOptions,
+    Target, EVENT_VERIFIED,
+};
 use phoenix_pauli::PauliString;
-use phoenix_topology::CouplingGraph;
 
 fn terms(labels: &[&str]) -> Vec<(PauliString, f64)> {
     labels
@@ -24,25 +29,35 @@ const PROGRAM: &[&str] = &["ZYY", "ZZY", "XYY", "XZY", "IZZ", "XIX", "ZZI", "YIY
 #[test]
 fn cached_run_matches_legacy_bit_for_bit_across_targets() {
     let t = terms(PROGRAM);
-    let dev = CouplingGraph::line(3);
-    let targets = [
+    let registry = DeviceRegistry::new();
+    let mut targets = vec![
         Target::Logical,
         Target::Cnot,
         Target::Su4,
         Target::CnotViaKak,
-        Target::Hardware(dev),
     ];
+    for spec in ["line:3@cnot", "line:3@su4", "line:3@kak"] {
+        targets.push(Target::Device(registry.build(spec).unwrap()));
+    }
     for target in targets {
         let legacy = CompileRequest::new(3, &t)
             .target(target.clone())
+            .trace(true)
             .run()
             .unwrap();
         let cache = Arc::new(CompileCache::new());
         let cold = CompileRequest::new(3, &t)
             .target(target.clone())
             .cache(&cache)
+            .trace(true)
             .run()
             .unwrap();
+        // A miss runs every pass of the list, just split around the bind.
+        assert_eq!(
+            cold.trace.as_ref().unwrap().pass_names(),
+            legacy.trace.as_ref().unwrap().pass_names(),
+            "miss trace @ {target:?}"
+        );
         let warm = CompileRequest::new(3, &t)
             .target(target.clone())
             .cache(&cache)
@@ -57,6 +72,10 @@ fn cached_run_matches_legacy_bit_for_bit_across_targets() {
             assert_eq!(
                 out.num_groups, legacy.num_groups,
                 "{name} groups @ {target:?}"
+            );
+            assert_eq!(
+                out.hardware, legacy.hardware,
+                "{name} hardware @ {target:?}"
             );
         }
         let stats = cache.stats();
@@ -242,4 +261,115 @@ fn obs_report_carries_cache_counters_and_bind_span() {
     let trace = warm.trace.unwrap();
     let names: Vec<&str> = trace.passes.iter().map(|p| p.name.as_str()).collect();
     assert_eq!(names, ["peephole"]);
+}
+
+/// Fig. 1(b) plus two more groups, with the angles of a later sweep point.
+fn rebind_case() -> (Vec<(PauliString, f64)>, Vec<f64>) {
+    let t = terms(&["ZYY", "ZZY", "XYY", "XZY", "IZZ", "XIX"]);
+    let angles = (0..t.len()).map(|i| 0.07 * (i as f64 + 1.0)).collect();
+    (t, angles)
+}
+
+/// `run()` on the program `bind()` would see: `t` with `angles` as its
+/// coefficients.
+fn run_rebound(
+    t: &[(PauliString, f64)],
+    angles: &[f64],
+    options: PhoenixOptions,
+) -> CompileOutcome {
+    let rebound: Vec<(PauliString, f64)> = t
+        .iter()
+        .zip(angles)
+        .map(|((p, _), a)| (p.clone(), *a))
+        .collect();
+    CompileRequest::new(3, &rebound)
+        .options(options)
+        .target(Target::Cnot)
+        .trace(true)
+        .run()
+        .unwrap()
+}
+
+fn verified_events(out: &CompileOutcome) -> usize {
+    out.trace
+        .as_ref()
+        .unwrap()
+        .events_of_kind(EVENT_VERIFIED)
+        .len()
+}
+
+#[test]
+fn bind_verifies_every_boundary_like_run() {
+    let (t, angles) = rebind_case();
+    let options = PhoenixOptions {
+        verify: true,
+        ..PhoenixOptions::default()
+    };
+    let run = run_rebound(&t, &angles, options.clone());
+    assert_eq!(verified_events(&run), 5);
+    let cache = Arc::new(CompileCache::new());
+    for request in [
+        CompileRequest::new(3, &t),
+        CompileRequest::new(3, &t).cache(&cache),
+    ] {
+        let bound = request
+            .options(options.clone())
+            .target(Target::Cnot)
+            .trace(true)
+            .bind(&angles)
+            .unwrap();
+        assert_eq!(verified_events(&bound), verified_events(&run));
+        assert_eq!(bound.circuit, run.circuit);
+    }
+    assert_eq!(cache.num_programs(), 0);
+}
+
+#[test]
+fn bind_reports_the_anytime_depth_like_run() {
+    let (t, angles) = rebind_case();
+    let options = PhoenixOptions {
+        pass_budget: Some(Duration::from_secs(60)),
+        anytime_rounds: Some(2),
+        ..PhoenixOptions::default()
+    };
+    let run = run_rebound(&t, &angles, options.clone());
+    assert_eq!(run.depth_reached, Some(2));
+    let bound = CompileRequest::new(3, &t)
+        .options(options)
+        .target(Target::Cnot)
+        .bind(&angles)
+        .unwrap();
+    assert_eq!(bound.depth_reached, Some(2));
+    assert_eq!(bound.circuit, run.circuit);
+}
+
+/// `bind()` runs the whole pass list under one budget: one pass manager,
+/// so one start time and one deadline. Its trace's cumulative timings are
+/// then monotone across the seam between the structure and lowering
+/// halves; a lowering half run by its own manager, with its own deadline,
+/// would restart the clock there.
+#[test]
+fn bind_runs_one_pass_list_under_one_deadline() {
+    let (t, angles) = rebind_case();
+    let options = PhoenixOptions {
+        pass_budget: Some(Duration::from_secs(60)),
+        anytime_rounds: Some(2),
+        ..PhoenixOptions::default()
+    };
+    let bound = CompileRequest::new(3, &t)
+        .options(options)
+        .target(Target::Cnot)
+        .trace(true)
+        .bind(&angles)
+        .unwrap();
+    let trace = bound.trace.unwrap();
+    assert_eq!(trace.pass_names(), ["group", "anytime-deepen", "peephole"]);
+    for pair in trace.passes.windows(2) {
+        assert!(
+            pair[1].cumulative_millis >= pair[0].cumulative_millis,
+            "clock restarted between `{}` and `{}`",
+            pair[0].name,
+            pair[1].name
+        );
+    }
 }

@@ -10,7 +10,7 @@
 
 use phoenix_baselines::Baseline;
 use phoenix_circuit::Circuit;
-use phoenix_core::{CompilerStrategy, PhoenixCompiler};
+use phoenix_core::{CompilerStrategy, Device, PhoenixCompiler, Target};
 use phoenix_mathkit::{CMatrix, Xoshiro256};
 use phoenix_sim::circuit_unitary;
 use phoenix_topology::CouplingGraph;
@@ -100,8 +100,9 @@ pub fn verify_program(program: &Program, cfg: &VerifyConfig) -> Vec<Failure> {
         ..phoenix_core::PhoenixOptions::default()
     });
 
-    // --- PHOENIX: every logical entry point against its own term order ---
-    let compiled = match compiler.try_compile(n, terms) {
+    // --- PHOENIX: every logical target against its own term order ---
+    let compile = |target| compiler.request(n, terms).target(target).run();
+    let compiled = match compile(Target::Logical) {
         Ok(c) => c,
         Err(e) => {
             failures.push(Failure {
@@ -119,14 +120,12 @@ pub fn verify_program(program: &Program, cfg: &VerifyConfig) -> Vec<Failure> {
         "skeleton-identity",
         check_skeleton_identity(&compiled.circuit),
     );
+    let circuit = |target| compile(target).map(|out| out.circuit);
     let phoenix_paths: Vec<(&str, Result<Circuit, phoenix_core::PhoenixError>)> = vec![
         ("PHOENIX/high-level", Ok(compiled.circuit.clone())),
-        ("PHOENIX/cnot", compiler.try_compile_to_cnot(n, terms)),
-        ("PHOENIX/su4", compiler.try_compile_to_su4(n, terms)),
-        (
-            "PHOENIX/kak",
-            compiler.try_compile_to_cnot_via_kak(n, terms),
-        ),
+        ("PHOENIX/cnot", circuit(Target::Cnot)),
+        ("PHOENIX/su4", circuit(Target::Su4)),
+        ("PHOENIX/kak", circuit(Target::CnotViaKak)),
     ];
     let mut phoenix_cnot_unitary: Option<CMatrix> = None;
     for (pipeline, result) in phoenix_paths {
@@ -239,9 +238,9 @@ pub fn verify_program(program: &Program, cfg: &VerifyConfig) -> Vec<Failure> {
             let mut v = Vec::new();
             v.push((
                 "PHOENIX/hardware".to_string(),
-                compiler
-                    .try_compile_hardware_aware(n, terms, &device)
-                    .map_err(|e| e.to_string()),
+                compile(Target::Device(Device::bare(device.clone())))
+                    .map_err(|e| e.to_string())
+                    .and_then(|out| out.hardware.ok_or_else(|| "no hardware program".into())),
             ));
             for b in baselines {
                 let logical = b.compile_logical(n, terms);

@@ -6,11 +6,11 @@
 
 use phoenix::baselines::{hardware_aware, Baseline};
 use phoenix::circuit::peephole;
-use phoenix::core::PhoenixCompiler;
+use phoenix::core::{CompileRequest, Device, Target};
 use phoenix::hamil::{uccsd, Molecule};
 use phoenix::topology::CouplingGraph;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = CouplingGraph::manhattan65();
     println!("device: {device}\n");
 
@@ -40,8 +40,12 @@ fn main() {
                 c.depth_2q()
             );
         }
-        let compiler = PhoenixCompiler::default();
-        let phoenix = compiler.compile_to_cnot(program.num_qubits(), program.terms());
+        let compile = |target| {
+            CompileRequest::new(program.num_qubits(), program.terms())
+                .target(target)
+                .run()
+        };
+        let phoenix = compile(Target::Cnot)?.circuit;
         println!(
             "  {:20}: {:5} CNOTs, 2Q depth {:5}",
             "PHOENIX",
@@ -50,7 +54,9 @@ fn main() {
         );
 
         // Hardware-aware on the heavy-hex device.
-        let hw = compiler.compile_hardware_aware(program.num_qubits(), program.terms(), &device);
+        let hw = compile(Target::Device(Device::bare(device.clone())))?
+            .hardware
+            .ok_or("device compile without a hardware program")?;
         println!(
             "  PHOENIX on heavy-hex: {:5} CNOTs, 2Q depth {:5}, {} SWAPs, {:.2}x routing overhead",
             hw.circuit.counts().cnot,
@@ -70,4 +76,5 @@ fn main() {
             ph_hw.routing_overhead()
         );
     }
+    Ok(())
 }

@@ -5,11 +5,11 @@
 //! Run with: `cargo run --release --example qaoa_maxcut`
 
 use phoenix::baselines::{hardware_aware, Baseline};
-use phoenix::core::PhoenixCompiler;
+use phoenix::core::{CompileRequest, Device, Target};
 use phoenix::hamil::qaoa;
 use phoenix::topology::CouplingGraph;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = CouplingGraph::manhattan65();
     for (kind, label) in [
         (qaoa::QaoaKind::Rand4, "random 4-regular"),
@@ -31,7 +31,11 @@ fn main() {
                 qan.num_swaps
             );
 
-            let hw = PhoenixCompiler::default().compile_hardware_aware(n, program.terms(), &device);
+            let hw = CompileRequest::new(n, program.terms())
+                .target(Target::Device(Device::bare(device.clone())))
+                .run()?
+                .hardware
+                .ok_or("device compile without a hardware program")?;
             println!(
                 "  PHOENIX    : logical 2Q depth {:2} | mapped: {:3} CNOTs, depth {:3}, {:2} SWAPs",
                 hw.logical.depth_2q(),
@@ -41,4 +45,5 @@ fn main() {
             );
         }
     }
+    Ok(())
 }

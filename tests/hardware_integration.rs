@@ -3,9 +3,24 @@
 
 use phoenix::baselines::{hardware_aware, Baseline};
 use phoenix::circuit::Circuit;
-use phoenix::core::PhoenixCompiler;
+use phoenix::core::{CompileRequest, Device, HardwareProgram, Target};
 use phoenix::hamil::{qaoa, uccsd, Molecule};
+use phoenix::pauli::PauliString;
 use phoenix::topology::CouplingGraph;
+
+/// PHOENIX's hardware-aware compile of `terms` onto a bare `device`.
+fn phoenix_hardware(
+    n: usize,
+    terms: &[(PauliString, f64)],
+    device: &CouplingGraph,
+) -> HardwareProgram {
+    CompileRequest::new(n, terms)
+        .target(Target::Device(Device::bare(device.clone())))
+        .run()
+        .unwrap()
+        .hardware
+        .unwrap()
+}
 
 fn assert_respects_coupling(c: &Circuit, device: &CouplingGraph, label: &str) {
     for g in c.gates() {
@@ -22,7 +37,7 @@ fn assert_respects_coupling(c: &Circuit, device: &CouplingGraph, label: &str) {
 fn phoenix_mapped_output_respects_heavy_hex() {
     let device = CouplingGraph::manhattan65();
     let h = uccsd::ansatz(Molecule::lih(), true, uccsd::Encoding::JordanWigner, 7);
-    let hw = PhoenixCompiler::default().compile_hardware_aware(h.num_qubits(), h.terms(), &device);
+    let hw = phoenix_hardware(h.num_qubits(), h.terms(), &device);
     assert_respects_coupling(&hw.circuit, &device, "PHOENIX");
     assert!(hw.routing_overhead() >= 1.0);
     assert!(hw.circuit.counts().cnot >= hw.logical.counts().cnot);
@@ -46,7 +61,7 @@ fn baselines_mapped_output_respects_heavy_hex() {
 fn all_to_all_needs_no_routing() {
     let device = CouplingGraph::all_to_all(10);
     let h = uccsd::ansatz(Molecule::lih(), true, uccsd::Encoding::BravyiKitaev, 7);
-    let hw = PhoenixCompiler::default().compile_hardware_aware(h.num_qubits(), h.terms(), &device);
+    let hw = phoenix_hardware(h.num_qubits(), h.terms(), &device);
     assert_eq!(hw.num_swaps, 0);
 }
 
@@ -55,8 +70,7 @@ fn smaller_devices_also_work() {
     // Route a 10-qubit program onto a 3×4 grid and a 12-qubit line.
     let h = uccsd::ansatz(Molecule::nh(), true, uccsd::Encoding::JordanWigner, 7);
     for device in [CouplingGraph::grid(3, 4), CouplingGraph::line(12)] {
-        let hw =
-            PhoenixCompiler::default().compile_hardware_aware(h.num_qubits(), h.terms(), &device);
+        let hw = phoenix_hardware(h.num_qubits(), h.terms(), &device);
         assert_respects_coupling(&hw.circuit, &device, "grid/line");
         assert!(hw.num_swaps > 0, "sparse devices need swaps");
     }
